@@ -162,9 +162,11 @@ class LFSR:
 
 
 @lru_cache(maxsize=64)
-def _period_table(width: int, polynomial: int) -> tuple[np.ndarray, dict[int, int]]:
-    """Full-period state sequence for (width, polynomial), plus a state ->
-    position lookup. Cached because every SNG in a layer reuses it."""
+def _period_table(width: int, polynomial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-period state sequence for (width, polynomial), plus its inverse
+    permutation: ``index[state]`` is the position of ``state`` in the
+    sequence (``index[0]`` is unused). Cached because every SNG in a layer
+    reuses it."""
     lfsr = LFSR(width, seed=1, polynomial=polynomial)
     period = lfsr.period
     states = np.empty(period, dtype=np.int64)
@@ -176,7 +178,8 @@ def _period_table(width: int, polynomial: int) -> tuple[np.ndarray, dict[int, in
         raise ConfigurationError(
             f"tap set {lfsr.taps} for width {width} is not maximal-length"
         )
-    index = {int(s): i for i, s in enumerate(states)}
+    index = np.zeros(period + 1, dtype=np.int64)
+    index[states] = np.arange(period)
     return states, index
 
 
@@ -194,15 +197,31 @@ def lfsr_sequence(
     length:
         Number of states; defaults to the full period ``2**width - 1``.
     """
+    return lfsr_sequences(width, [int(seed)], polynomial, length)[0]
+
+
+def lfsr_sequences(
+    width: int,
+    seeds: np.ndarray | list[int],
+    polynomial: int = 0,
+    length: int | None = None,
+) -> np.ndarray:
+    """:func:`lfsr_sequence` for many seeds of one polynomial at once.
+
+    Returns shape ``(len(seeds), length)``; row ``i`` starts at
+    ``seeds[i]``. One gather from the cached period table, so the cost is
+    ``O(len(seeds) * length)`` with no per-seed Python work.
+    """
     _check_width(width)
     period = (1 << width) - 1
-    if not 1 <= int(seed) <= period:
+    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    if seeds.size and (seeds.min() < 1 or seeds.max() > period):
+        bad = seeds[(seeds < 1) | (seeds > period)][0]
         raise ConfigurationError(
-            f"LFSR seed must be in [1, {period}] for width {width}, got {seed}"
+            f"LFSR seed must be in [1, {period}] for width {width}, got {bad}"
         )
     if length is None:
         length = period
     base, index = _period_table(width, polynomial % len(MAXIMAL_TAPS[width]))
-    start = index[int(seed)]
-    idx = (start + np.arange(length)) % period
+    idx = (index[seeds][:, None] + np.arange(length)) % period
     return base[idx]

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sc.lfsr import lfsr_sequence, num_polynomials
+from repro.sc.lfsr import lfsr_sequences, num_polynomials
 
 
 class RandomSource(ABC):
@@ -78,17 +78,14 @@ class LFSRSource(RandomSource):
         return self._period * num_polynomials(self.width)
 
     def bank(self, seeds: Sequence[int] | np.ndarray, length: int) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        out = np.empty((seeds.size, length), dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}
-        for i, logical in enumerate(seeds.ravel()):
-            logical = int(logical) % self.max_unique_seeds()
-            if logical not in cache:
-                poly, state = divmod(logical, self._period)
-                cache[logical] = lfsr_sequence(
-                    self.width, seed=state + 1, polynomial=poly, length=length
-                )
-            out[i] = cache[logical]
+        logical = np.asarray(seeds, dtype=np.int64).ravel() % self.max_unique_seeds()
+        polys, states = np.divmod(logical, self._period)
+        out = np.empty((logical.size, length), dtype=np.int64)
+        for poly in np.unique(polys):
+            rows = polys == poly
+            out[rows] = lfsr_sequences(
+                self.width, states[rows] + 1, polynomial=int(poly), length=length
+            )
         return out
 
 

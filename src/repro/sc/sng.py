@@ -14,6 +14,18 @@ so over a full LFSR period of ``2**n - 1`` cycles a target ``q`` produces
 exactly ``q`` ones — the "almost accurate generation" the paper relies on,
 and the estimated value ``ones/period`` equals ``q / (2**n - 1)`` exactly.
 
+Generation is a *level sweep*, the software analogue of a parallel
+bitstream generator: a stream depends only on its seed and its target
+level, so streams are built once per (unique seed, distinct level) and
+gathered. For each unique seed, every cycle ``t`` sets bit ``t`` in the
+packed word of the lowest level its random value does not exceed; an OR
+prefix-scan over the ascending levels then turns those one-hot bits into
+the streams of every level. With ``U`` unique seeds, stream length ``L``,
+``k`` distinct levels and ``W`` packed words per stream, that costs
+``O(U·L + U·k·W)`` instead of one comparison per output bit; the gather
+adds one ``W``-word copy per target. The bit-level definition above stays
+the oracle the tests compare against.
+
 :class:`ProgressiveSNG` implements Sec. II-B: generation starts once the
 2 most-significant bits of the target are in the buffer, with the lower
 bits arriving in groups of 2 every 2 cycles (the unloaded tail reads as 0).
@@ -26,7 +38,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sc.rng import RandomSource
 from repro.sc.streams import StreamBatch
-from repro.utils.bitops import pack_bits
+from repro.utils.bitops import packed_words
 
 
 def _validate_targets(targets: np.ndarray, bits: int) -> np.ndarray:
@@ -41,6 +53,36 @@ def _validate_targets(targets: np.ndarray, bits: int) -> np.ndarray:
             f"targets out of range [0, {limit}] for {bits}-bit SNG"
         )
     return targets.astype(np.int64, copy=False)
+
+
+def _sweep(
+    rand: np.ndarray,
+    cycles: np.ndarray,
+    rows: np.ndarray,
+    targets: np.ndarray,
+    words: int,
+) -> np.ndarray:
+    """Packed streams ``rand[rows] <= targets`` over ``cycles``.
+
+    ``rand`` holds each unique seed's random values at ``cycles``, shape
+    ``(U, len(cycles))``. ``rows`` (bank row per stream) and ``targets``
+    broadcast together to the stream shape ``S``. Returns ``S + (words,)``
+    packed words; the bits of cycles not in ``cycles`` are zero.
+    """
+    levels, level_of = np.unique(targets, return_inverse=True)
+    slots = levels.size + 1  # the last slot takes values above every level
+    seed_base = np.arange(rand.shape[0])[:, None] * slots
+    # One-hot scatter: bit ``t`` goes to the first level ``rand[u, t]``
+    # does not exceed. Distinct cycles own distinct bits, so adding them
+    # is an exact OR (and ``add.at`` is the faster of the two).
+    word = (seed_base + np.searchsorted(levels, rand)) * words + (cycles >> 6)
+    bit = np.left_shift(np.uint64(1), (cycles & 63).astype(np.uint64))
+    plain = np.zeros((rand.shape[0], slots, words), dtype=np.uint64)
+    np.add.at(plain.reshape(-1), word.ravel(), np.broadcast_to(bit, word.shape).ravel())
+    # A stream at level j holds every cycle scattered to a level <= j.
+    np.bitwise_or.accumulate(plain, axis=1, out=plain)
+    index = rows * slots + level_of.reshape(targets.shape)
+    return np.take(plain.reshape(-1, words), index, axis=0)
 
 
 class SNG:
@@ -63,6 +105,19 @@ class SNG:
         self.source = source
         self.bits = bits
 
+    def _draw(self, targets, seeds, length: int):
+        """Validated targets, the bank row of each stream (broadcasting
+        against the targets) and the random bank, drawn once for the
+        sorted unique seeds of the broadcast seed array."""
+        targets = _validate_targets(targets, self.bits)
+        seeds = np.asarray(seeds, dtype=np.int64)
+        shape = np.broadcast_shapes(targets.shape, seeds.shape)
+        if 0 in shape:  # no streams: draw for no seeds
+            seeds = np.broadcast_to(seeds, shape)
+        unique, rows = np.unique(seeds, return_inverse=True)
+        bank = self.source.bank(unique, length)  # (U, L)
+        return targets, rows.reshape(seeds.shape), bank
+
     def generate(
         self,
         targets: np.ndarray,
@@ -74,21 +129,19 @@ class SNG:
         Parameters
         ----------
         targets:
-            Quantized integer targets, any shape ``S``.
+            Quantized integer targets.
         seeds:
-            Integer seed per target, broadcastable to ``S``. Equal seeds
-            mean a *shared* RNG: those comparators see identical random
-            values every cycle.
+            Integer seed per target. ``targets`` and ``seeds`` broadcast
+            together to the stream shape ``S``, so a ``(U, 1)`` seed
+            column against a ``(1, K)`` target row gives every seed's
+            stream at every target. Equal seeds mean a *shared* RNG:
+            those comparators see identical random values every cycle.
         length:
             Stream length in bits.
         """
-        targets = _validate_targets(targets, self.bits)
-        seeds = np.broadcast_to(np.asarray(seeds, dtype=np.int64), targets.shape)
-        unique, inverse = np.unique(seeds.ravel(), return_inverse=True)
-        bank = self.source.bank(unique, length)  # (U, L)
-        rand = bank[inverse].reshape(targets.shape + (length,))
-        bits = rand <= targets[..., None]
-        return StreamBatch(pack_bits(bits), length)
+        targets, rows, bank = self._draw(targets, seeds, length)
+        packed = _sweep(bank, np.arange(length), rows, targets, packed_words(length))
+        return StreamBatch(packed, length)
 
 
 class ProgressiveSNG(SNG):
@@ -139,6 +192,11 @@ class ProgressiveSNG(SNG):
         groups = -(-missing // self.bits_per_group)  # ceil division
         return groups * self.cycles_per_group
 
+    def _load_masks(self, loaded: np.ndarray) -> np.ndarray:
+        """Buffer mask with only the top ``loaded`` target bits set."""
+        low_zeros = self.bits - loaded
+        return (~((np.int64(1) << low_zeros) - 1)) & ((1 << self.bits) - 1)
+
     def effective_targets(self, targets: np.ndarray, length: int) -> np.ndarray:
         """Per-cycle effective target values, shape ``S + (length,)``.
 
@@ -146,9 +204,7 @@ class ProgressiveSNG(SNG):
         of the target are in the buffer; the rest are zero-padded.
         """
         targets = _validate_targets(targets, self.bits)
-        loaded = self.loaded_bits_schedule(length)
-        low_zeros = self.bits - loaded  # (L,)
-        masks = (~((np.int64(1) << low_zeros) - 1)) & ((1 << self.bits) - 1)
+        masks = self._load_masks(self.loaded_bits_schedule(length))
         return targets[..., None] & masks
 
     def generate(
@@ -157,14 +213,21 @@ class ProgressiveSNG(SNG):
         seeds: np.ndarray,
         length: int,
     ) -> StreamBatch:
-        targets = _validate_targets(targets, self.bits)
-        seeds = np.broadcast_to(np.asarray(seeds, dtype=np.int64), targets.shape)
-        unique, inverse = np.unique(seeds.ravel(), return_inverse=True)
-        bank = self.source.bank(unique, length)
-        rand = bank[inverse].reshape(targets.shape + (length,))
-        effective = self.effective_targets(targets, length)
-        bits = rand <= effective
-        return StreamBatch(pack_bits(bits), length)
+        """Like :meth:`SNG.generate`, with each cycle compared against the
+        effective (partially loaded) target. Cycles that see the same
+        loaded-bit count form one level sweep over the masked targets;
+        their packed words are ORed together."""
+        targets, rows, bank = self._draw(targets, seeds, length)
+        words = packed_words(length)
+        shape = np.broadcast_shapes(rows.shape, targets.shape)
+        packed = np.zeros(shape + (words,), dtype=np.uint64)
+        loaded = self.loaded_bits_schedule(length)
+        for k in np.unique(loaded):
+            cycles = np.flatnonzero(loaded == k)
+            packed |= _sweep(
+                bank[:, cycles], cycles, rows, targets & self._load_masks(k), words
+            )
+        return StreamBatch(packed, length)
 
 
 class ShadowBufferedSNG:

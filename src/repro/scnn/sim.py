@@ -10,7 +10,11 @@ Key implementation trick: a stream is fully determined by ``(seed,
 quantized value)``, and both alphabets are small (``<= 2**n`` values,
 a few hundred shared seeds). Streams are therefore materialized through a
 precomputed *stream table* ``(num_seeds, 2**n, words)`` and pure fancy
-indexing — no per-element comparator loop. For deterministic LFSR sources
+indexing. The table itself comes from one :meth:`repro.sc.sng.SNG.generate`
+call, a level sweep that builds every value's stream of a seed in one
+pass (see :mod:`repro.sc.sng`). A simulator resolves its seed plan's
+table rows on the first forward after it is built or reconfigured, not on
+every forward. For deterministic LFSR sources
 the tables are cached (LRU) across training steps; TRNG tables are rebuilt
 every call, which is exactly the physical difference training exploits.
 
@@ -27,6 +31,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,31 +123,37 @@ def stream_table(
     ``(num_unique_seeds, 2**bits, words)`` and ``index_of`` maps a raw seed
     array to a row index via ``np.searchsorted`` order.
     """
-    global _TABLE_CACHE_BYTES
     unique = np.unique(seeds.ravel())
-    alphabet = np.arange(1 << bits, dtype=np.int64)
+    return _table(source, bits, length, unique, unique.tobytes(), progressive), unique
+
+
+def _table(
+    source: RandomSource,
+    bits: int,
+    length: int,
+    unique: np.ndarray,
+    unique_key: bytes,
+    progressive: bool,
+) -> np.ndarray:
+    """The table of :func:`stream_table`, for already sorted unique seeds
+    ``unique`` whose bytes are ``unique_key`` (the cache key) — the form
+    a simulator precomputes once per seed plan."""
+    global _TABLE_CACHE_BYTES
     cache_key = None
     if source.deterministic:
-        cache_key = (
-            type(source).__name__,
-            bits,
-            length,
-            progressive,
-            unique.tobytes(),
-        )
+        cache_key = (type(source).__name__, bits, length, progressive, unique_key)
         cached = _TABLE_CACHE.get(cache_key)
         if cached is not None:
             _TABLE_CACHE.move_to_end(cache_key)
             _CACHE_HITS.add(1)
-            return cached, unique
+            return cached
         _CACHE_MISSES.add(1)
     with obs.span(
         "sc.table_build", bits=bits, length=length, seeds=int(unique.size)
     ):
         generator = _make_generator(source, bits, progressive)
-        targets = np.broadcast_to(alphabet, (unique.size, alphabet.size))
-        seed_grid = np.broadcast_to(unique[:, None], targets.shape)
-        batch = generator.generate(targets, seed_grid, length)
+        alphabet = np.arange(1 << bits, dtype=np.int64)
+        batch = generator.generate(alphabet[None, :], unique[:, None], length)
         table = batch.packed  # (U, 2**bits, words)
     if cache_key is not None:
         while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
@@ -151,13 +163,7 @@ def stream_table(
         _TABLE_CACHE[cache_key] = table
         _TABLE_CACHE_BYTES += table.nbytes
         _CACHE_BYTES_GAUGE.set(_TABLE_CACHE_BYTES)
-    return table, unique
-
-
-def _lookup(table: np.ndarray, unique: np.ndarray, seeds: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fancy-index packed streams for seed/value arrays (broadcastable)."""
-    rows = np.searchsorted(unique, seeds)
-    return table[rows, q]
+    return table
 
 
 def _reduce_products(
@@ -209,6 +215,15 @@ _STREAM_KNOBS = frozenset(
 )
 
 
+class _TableIndex(NamedTuple):
+    """Where a seed plan's streams sit in its stream table."""
+
+    seeds: np.ndarray  # sorted unique seeds: the table's rows
+    key: bytes  # ``seeds.tobytes()``, the table-cache key
+    weight_rows: np.ndarray  # table row of each weight seed
+    act_rows: np.ndarray  # table row of each activation seed
+
+
 @dataclass(frozen=True)
 class _ExecState:
     """Immutable snapshot of everything a forward pass reads from the
@@ -221,6 +236,24 @@ class _ExecState:
     length: int
     bits: int
     plan: SeedPlan
+
+    @cached_property
+    def table_index(self) -> _TableIndex:
+        """The plan's stream-table indexing, resolved by the first forward
+        on this state and reused by every later one. Two forwards racing
+        here both compute the same value, and either result is kept."""
+        # One table serves both operand kinds: the plan's seed pools are
+        # disjoint, and the table is indexed by raw seed.
+        plan = self.plan
+        seeds = np.unique(
+            np.concatenate([plan.weight_seeds.ravel(), plan.act_seeds.ravel()])
+        )
+        return _TableIndex(
+            seeds=seeds,
+            key=seeds.tobytes(),
+            weight_rows=np.searchsorted(seeds, plan.weight_seeds),
+            act_rows=np.searchsorted(seeds, plan.act_seeds),
+        )
 
 
 class SCConvSimulator:
@@ -420,7 +453,7 @@ class SCConvSimulator:
             state = self._state
             call_index = self._call_index
             self._call_index += 1
-        cfg, length, bits, plan = state.cfg, state.length, state.bits, state.plan
+        cfg, length, bits = state.cfg, state.length, state.bits
 
         source = _build_source(cfg, bits, self.layer_index, call_index)
 
@@ -444,23 +477,18 @@ class SCConvSimulator:
             q_wpos = quantize_unipolar(np.maximum(w_clipped, 0.0), bits)
             q_wneg = quantize_unipolar(np.maximum(-w_clipped, 0.0), bits)
 
-            # One table serves both operand kinds: the plan's seed pools are
-            # disjoint, and the table is indexed by raw seed.
-            all_seeds = np.concatenate(
-                [plan.weight_seeds.ravel(), plan.act_seeds.ravel()]
+            index = state.table_index
+            table = _table(
+                source, bits, length, index.seeds, index.key, cfg.progressive
             )
-            table, unique = stream_table(
-                source, bits, length, all_seeds, cfg.progressive
-            )
-            wp = _lookup(table, unique, plan.weight_seeds, q_wpos)
-            wn = _lookup(table, unique, plan.weight_seeds, q_wneg)
+            wp = table[index.weight_rows, q_wpos]
+            wn = table[index.weight_rows, q_wneg]
 
             n = x.shape[0]
             oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
             ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
             out = np.empty((n, cout, oh, ow), dtype=np.float32)
 
-            act_seed_idx = np.searchsorted(unique, plan.act_seeds)
             fused = cfg.engine == "fused"
             chunk = max(1, cfg.batch_chunk)
             for start in range(0, n, chunk):
@@ -476,7 +504,7 @@ class SCConvSimulator:
                     with reg.span("scnn.engine", engine="fused"):
                         signed = fused_conv_counts(
                             table,
-                            act_seed_idx,
+                            index.act_rows,
                             cols.reshape(nc, cin, kh, kw, oh * ow),
                             wp,
                             wn,
@@ -492,7 +520,7 @@ class SCConvSimulator:
                     continue
                 with reg.span("scnn.engine", engine="reference"):
                     act = table[
-                        act_seed_idx[None, :, :, :, None, None], cols
+                        index.act_rows[None, :, :, :, None, None], cols
                     ]  # (nc, Cin, KH, KW, OH, OW, words)
                     bytes_touched += act.nbytes
                     for co in range(cout):

@@ -10,6 +10,7 @@ from repro.sc.lfsr import (
     LFSR,
     MAXIMAL_TAPS,
     lfsr_sequence,
+    lfsr_sequences,
     num_polynomials,
 )
 
@@ -109,3 +110,37 @@ class TestLongSequences:
         seq = lfsr_sequence(width, seed=seed)
         lsb_ones = int((seq & 1).sum())
         assert lsb_ones == 1 << (width - 1)
+
+
+class TestPeriodTableLookup:
+    """The table lookups agree with stepping the register itself."""
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 6])
+    def test_every_seed_matches_stepping(self, width):
+        period = (1 << width) - 1
+        length = 2 * period + 5
+        for poly in range(num_polynomials(width)):
+            for seed in range(1, period + 1):
+                lfsr = LFSR(width, seed=seed, polynomial=poly)
+                stepped = [seed] + [lfsr.step() for _ in range(length)]
+                np.testing.assert_array_equal(
+                    lfsr_sequence(width, seed=seed, polynomial=poly, length=length),
+                    stepped[:-1],
+                )
+                lfsr.reset()
+                np.testing.assert_array_equal(lfsr.sequence(length), stepped[1:])
+
+    def test_many_seeds_match_single_seed_rows(self):
+        seeds = [1, 5, 5, 127, 64]
+        rows = lfsr_sequences(7, seeds, polynomial=3, length=300)
+        assert rows.shape == (5, 300)
+        for row, seed in zip(rows, seeds):
+            np.testing.assert_array_equal(
+                row, lfsr_sequence(7, seed=seed, polynomial=3, length=300)
+            )
+
+    def test_many_seeds_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            lfsr_sequences(5, [1, 32])
+        with pytest.raises(ConfigurationError):
+            lfsr_sequences(5, [0])

@@ -38,6 +38,23 @@ class TestLFSRSource:
 
         assert src.max_unique_seeds() == 127 * num_polynomials(7)
 
+    def test_bank_matches_per_seed_sequences(self):
+        # Seeds spanning every polynomial, repeated seeds, seeds at and past
+        # max_unique_seeds() (they wrap), and a length over twice the period.
+        from repro.sc.lfsr import lfsr_sequence
+
+        src = LFSRSource(5)
+        period, limit = 31, src.max_unique_seeds()
+        seeds = [0, 30, 31, 62, 93, limit - 1, limit, limit + 40, 3 * limit + 7, 5, 5, -1]
+        length = 2 * period + 9
+        bank = src.bank(np.array(seeds), length)
+        assert bank.shape == (len(seeds), length)
+        for row, seed in zip(bank, seeds):
+            poly, state = divmod(seed % limit, period)
+            np.testing.assert_array_equal(
+                row, lfsr_sequence(5, seed=state + 1, polynomial=poly, length=length)
+            )
+
 
 class TestTRNGSource:
     def test_not_deterministic_flag(self):

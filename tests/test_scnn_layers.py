@@ -123,3 +123,21 @@ class TestSCLayerLearns:
             opt.step()
         acc = F.accuracy(layer(Tensor(x)), y)
         assert acc > 0.8
+
+
+class TestReconfigureMatchesFreshSimulator:
+    def test_stream_length_flips_reindex_the_table(self):
+        # A reconfigured simulator resolves its new plan's table rows, so
+        # each tier reads exactly what a simulator built for it reads.
+        from repro.scnn.sim import SCConvSimulator
+
+        rng = np.random.default_rng(0)
+        shape = (4, 3, 3, 3)
+        x = rng.random((2, 3, 6, 6)).astype(np.float32)
+        w = rng.uniform(-1, 1, shape).astype(np.float32)
+        sim = SCConvSimulator(shape, CFG, layer_index=1, padding=1)
+        for length in (32, 128, 64):
+            cfg = CFG.with_(stream_length=length, stream_length_pooling=length)
+            sim.reconfigure(stream_length=length, stream_length_pooling=length)
+            fresh = SCConvSimulator(shape, cfg, layer_index=1, padding=1)
+            np.testing.assert_array_equal(sim(x, w), fresh(x, w))
