@@ -1,7 +1,7 @@
 """Benchmark: the SC simulation hot path — fused engine vs reference.
 
 Times the CNN-4 forward pass (batch 8, 16x16 inputs, 64-bit streams) in
-every accumulation mode under four arms:
+every accumulation mode under five arms:
 
 * ``seed``      — ``engine="reference"`` with the byte-LUT popcount:
   the hot path exactly as it existed before the fused engine landed
@@ -12,17 +12,18 @@ every accumulation mode under four arms:
 * ``fused_mt``  — the fused engine with one worker per available CPU
   (on a single-CPU machine this arm documents, rather than shows,
   thread scaling).
-* ``tuned``     — the fused engine with ``autotune=True``: execution
-  plans resolved by :mod:`repro.sc.tuner` against a fresh in-process
-  plan cache. The first forward pays the tuning; the report records it
-  separately (``autotune.first_forward_s``) so the steady-state column
-  demonstrates that a plan-cache hit has zero tuning overhead.
+* ``numpy``     — the fused engine's numpy fallback, single worker: what
+  a host without a C compiler runs.
 
-A kernel-level **density sweep** then times the dense slab sweep vs the
-``path="auto"`` plan on one representative conv shape at 0%/50%/90%
-activation-value sparsity per accumulation mode — the sparse path's
-skip-mask win is only visible on sparse operands, and the CNN-4 forward
-above does not let us pin activation density.
+The fused arms run the native kernel of :mod:`repro.sc.kernels` when it
+can be built (``machine.native_kernel`` records whether it was).
+
+A kernel-level **density sweep** then times the fused kernel on one
+representative conv shape at 0%/50%/90% activation-value sparsity per
+accumulation mode — the kernel skips zero activations, a win only
+visible on sparse operands, and the CNN-4 forward above does not let us
+pin activation density. Every cell is checked against the numpy
+fallback.
 
 Each arm is warmed first (stream tables are built and cached on the
 warm-up call) and the best of ``reps`` runs is kept — the interesting
@@ -48,14 +49,16 @@ import json
 import math
 import platform
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro import obs
 from repro.models.cnn4 import cnn4_sc
-from repro.sc import tuner
-from repro.sc.kernels import ExecPlan, fused_conv_counts
+from repro.sc import native as native_kernel
+from repro.sc.kernels import fused_conv_counts
 from repro.scnn.config import SCConfig
 from repro.scnn.sim import clear_table_cache, stream_table, table_cache_stats
 from repro.sc.rng import LFSRSource
@@ -71,19 +74,19 @@ BATCH, IN_CHANNELS, INPUT_SIZE, STREAM_LENGTH = 8, 1, 16, 64
 #: Activation-value zero fractions of the kernel-level density sweep.
 DENSITIES = (0.0, 0.5, 0.9)
 
-#: Density-sweep operand shape: a mid-size conv layer (past the sparse
-#: path's measured crossover) with 64-bit streams.
+#: Density-sweep operand shape: a mid-size conv layer with 64-bit
+#: streams.
 SWEEP_SHAPE = dict(n=4, cin=16, cout=32, k=5, p=196, bits=6)
 
 
-def _forward_time(engine: str, mode: str, native: bool, workers: int,
-                  reps: int, autotune: bool = False) -> tuple[float, float]:
-    """``(first, best-of-reps)`` seconds for one CNN-4 forward pass.
+def _no_native_kernel():
+    """Context in which the native kernel loader reports no library."""
+    return mock.patch.object(native_kernel, "load", lambda: None)
 
-    ``first`` is the first post-table-warm-up forward — for the tuned
-    arm that call pays the plan tuning, so the pair separates tuning
-    overhead from steady state.
-    """
+
+def _forward_time(engine: str, mode: str, native: bool, workers: int,
+                  reps: int, fallback: bool = False) -> float:
+    """Best-of-``reps`` seconds for one warm CNN-4 forward pass."""
     saved = bitops.USE_NATIVE_POPCOUNT
     bitops.USE_NATIVE_POPCOUNT = native and bitops.HAS_NATIVE_POPCOUNT
     try:
@@ -93,7 +96,6 @@ def _forward_time(engine: str, mode: str, native: bool, workers: int,
             accumulation=mode,
             engine=engine,
             num_workers=workers,
-            autotune=autotune,
         )
         model = cnn4_sc(
             cfg,
@@ -107,28 +109,14 @@ def _forward_time(engine: str, mode: str, native: bool, workers: int,
             .uniform(0, 1, size=(BATCH, IN_CHANNELS, INPUT_SIZE, INPUT_SIZE))
             .astype(np.float32)
         )
-        if autotune:
-            # Warm the stream tables *without* tuning so the measured
-            # first forward isolates plan-tuning overhead.
-            model_cold = cnn4_sc(
-                cfg.with_(autotune=False),
-                num_classes=10,
-                in_channels=IN_CHANNELS,
-                input_size=INPUT_SIZE,
-                seed=7,
-            )
-            model_cold(x)
-        else:
-            model(x)  # warm-up: builds and caches the stream tables
-        t0 = time.perf_counter()
-        model(x)
-        first = time.perf_counter() - t0
+        model(x)  # warm-up: builds and caches the stream tables
         best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            model(x)
-            best = min(best, time.perf_counter() - t0)
-        return first, best
+        with _no_native_kernel() if fallback else nullcontext():
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                model(x)
+                best = min(best, time.perf_counter() - t0)
+        return best
     finally:
         bitops.USE_NATIVE_POPCOUNT = saved
 
@@ -155,39 +143,33 @@ def _sweep_operands(mode: str, density: float):
 
 
 def run_density_sweep(reps: int = 3) -> dict:
-    """Time dense-forced vs auto plans across modes and densities.
+    """Time the fused kernel across modes and activation densities.
 
-    Bit-identity of the two paths is asserted on every cell; the
-    ``auto_vs_dense`` speedup shows where the sparse path engages (its
-    group-level threshold keeps long-group modes dense — a speedup of
-    ~1.0 there is the *correct* outcome, not a missing win).
+    ``vs_dense_input`` is the cell's speedup over the same mode at 0%
+    sparsity: the zero skip's win. Every cell must equal the numpy
+    fallback bit for bit.
     """
     sweep: dict[str, dict] = {}
     for mode in MODES:
         sweep[mode] = {}
         for density in DENSITIES:
             operands = _sweep_operands(mode, density)
-            dense = fused_conv_counts(
-                *operands, mode, plan=ExecPlan(path="dense")
-            )
-            auto = fused_conv_counts(*operands, mode)
-            if not np.array_equal(dense, auto):
+            got = fused_conv_counts(*operands, mode)
+            with _no_native_kernel():
+                want = fused_conv_counts(*operands, mode)
+            if not np.array_equal(got, want):
                 raise AssertionError(
-                    f"sparse/dense mismatch: mode={mode} density={density}"
+                    f"native/numpy mismatch: mode={mode} density={density}"
                 )
-            cell = {}
-            for label, plan in (
-                ("dense_s", ExecPlan(path="dense")),
-                ("auto_s", None),
-            ):
-                best = math.inf
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    fused_conv_counts(*operands, mode, plan=plan)
-                    best = min(best, time.perf_counter() - t0)
-                cell[label] = best
-            cell["auto_vs_dense"] = cell["dense_s"] / cell["auto_s"]
-            sweep[mode][f"{density:.2f}"] = cell
+            best = math.inf
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                fused_conv_counts(*operands, mode)
+                best = min(best, time.perf_counter() - t0)
+            sweep[mode][f"{density:.2f}"] = {"fused_s": best}
+        dense_s = sweep[mode][f"{DENSITIES[0]:.2f}"]["fused_s"]
+        for cell in sweep[mode].values():
+            cell["vs_dense_input"] = dense_s / cell["fused_s"]
     return sweep
 
 
@@ -200,32 +182,15 @@ def run_hot_path(reps: int = 5) -> dict:
         "reference": dict(engine="reference", native=True, workers=1),
         "fused": dict(engine="fused", native=True, workers=1),
         "fused_mt": dict(engine="fused", native=True, workers=ncpu),
-        "tuned": dict(engine="fused", native=True, workers=1, autotune=True),
+        "numpy": dict(engine="fused", native=True, workers=1, fallback=True),
     }
-    # The tuned arm measures against a fresh in-process plan cache so
-    # the recorded first-forward cost is real tuning, not disk reuse.
-    plan_cache = tuner.PlanCache(None)
-    tuner.set_plan_cache(plan_cache)
-    times: dict[str, dict[str, float]] = {mode: {} for mode in MODES}
-    autotune_report: dict[str, dict[str, float]] = {}
-    try:
-        for mode in MODES:
-            for arm, knobs in arms.items():
-                first, best = _forward_time(mode=mode, reps=reps, **knobs)
-                times[mode][arm] = best
-                if arm == "tuned":
-                    autotune_report[mode] = {
-                        "first_forward_s": first,
-                        "steady_forward_s": best,
-                    }
-        plan_cache_stats = {
-            "plans": len(plan_cache),
-            "hits": plan_cache.hits,
-            "misses": plan_cache.misses,
-            "tunes": plan_cache.tunes,
+    times: dict[str, dict[str, float]] = {
+        mode: {
+            arm: _forward_time(mode=mode, reps=reps, **knobs)
+            for arm, knobs in arms.items()
         }
-    finally:
-        tuner.set_plan_cache(None)
+        for mode in MODES
+    }
 
     speedups = {
         mode: {
@@ -236,7 +201,7 @@ def run_hot_path(reps: int = 5) -> dict:
             "fused_mt_vs_fused": (
                 times[mode]["fused"] / times[mode]["fused_mt"]
             ),
-            "tuned_vs_fused": times[mode]["fused"] / times[mode]["tuned"],
+            "fused_vs_numpy": times[mode]["numpy"] / times[mode]["fused"],
         }
         for mode in MODES
     }
@@ -251,13 +216,12 @@ def run_hot_path(reps: int = 5) -> dict:
         "platform": platform.platform(),
         "numpy": np.__version__,
         "native_popcount": bool(bitops.HAS_NATIVE_POPCOUNT),
+        "native_kernel": native_kernel.load() is not None,
     }
     if ncpu <= 1:
         machine["multicore_note"] = (
             "bench host exposes a single vCPU: the fused_mt arm measures "
-            "sharding overhead, not scaling. A real num_workers>1 scaling "
-            "run is still owed when a multi-core host is available "
-            "(ROADMAP engine item)."
+            "sharding overhead, not scaling."
         )
 
     return {
@@ -273,14 +237,11 @@ def run_hot_path(reps: int = 5) -> dict:
         "seconds_per_forward": times,
         "speedups": speedups,
         "geomean": {
-            "fused_vs_seed": geomean("fused_vs_seed"),
-            "fused_vs_reference": geomean("fused_vs_reference"),
-            "fused_mt_vs_fused": geomean("fused_mt_vs_fused"),
-            "tuned_vs_fused": geomean("tuned_vs_fused"),
-        },
-        "autotune": {
-            "per_mode": autotune_report,
-            "plan_cache": plan_cache_stats,
+            key: geomean(key)
+            for key in (
+                "fused_vs_seed", "fused_vs_reference", "fused_mt_vs_fused",
+                "fused_vs_numpy",
+            )
         },
         "density_sweep": {
             "shape": dict(SWEEP_SHAPE, stream_length=STREAM_LENGTH),
@@ -293,13 +254,12 @@ def run_hot_path(reps: int = 5) -> dict:
         },
         "notes": (
             "'seed' is the pre-fused hot path (reference engine + byte-LUT "
-            "popcount). Worker scaling (fused_mt) requires >1 CPU; on a "
-            "single-CPU machine it measures sharding overhead instead. "
-            "'tuned' resolves plans through repro.sc.tuner against a fresh "
-            "in-process cache; autotune.first_forward_s carries the one-time "
-            "tuning cost, the steady column runs entirely on plan-cache "
-            "hits. density_sweep times the dense slab sweep vs the auto "
-            "path on synthetic operands at pinned activation sparsity."
+            "popcount). 'fused' and 'fused_mt' run the native kernel when "
+            "machine.native_kernel is true; 'numpy' is the fallback a host "
+            "without a C compiler runs. fused_mt uses one worker per CPU; "
+            "on a single-CPU machine it measures sharding overhead. "
+            "density_sweep times the fused kernel on synthetic operands at "
+            "pinned activation sparsity."
         ),
     }
 
@@ -307,7 +267,7 @@ def run_hot_path(reps: int = 5) -> dict:
 def render(report: dict) -> str:
     rows = [
         f"{'mode':6s} {'seed':>8s} {'refnat':>8s} {'fused':>8s} "
-        f"{'fused_mt':>8s} {'tuned':>8s} {'vs seed':>8s} {'vs ref':>8s}"
+        f"{'fused_mt':>8s} {'numpy':>8s} {'vs seed':>8s} {'vs ref':>8s}"
     ]
     for mode in MODES:
         t = report["seconds_per_forward"][mode]
@@ -315,26 +275,23 @@ def render(report: dict) -> str:
         rows.append(
             f"{mode:6s} {t['seed'] * 1e3:7.1f}ms {t['reference'] * 1e3:7.1f}ms "
             f"{t['fused'] * 1e3:7.1f}ms {t['fused_mt'] * 1e3:7.1f}ms "
-            f"{t['tuned'] * 1e3:7.1f}ms "
+            f"{t['numpy'] * 1e3:7.1f}ms "
             f"{s['fused_vs_seed']:7.2f}x {s['fused_vs_reference']:7.2f}x"
         )
     g = report["geomean"]
     rows.append(
         f"geomean fused vs seed: {g['fused_vs_seed']:.2f}x, "
         f"vs reference(native): {g['fused_vs_reference']:.2f}x, "
-        f"tuned vs fused: {g['tuned_vs_fused']:.2f}x "
-        f"({report['machine']['cpus']} CPU(s))"
+        f"vs numpy fallback: {g['fused_vs_numpy']:.2f}x, "
+        f"fused_mt vs fused: {g['fused_mt_vs_fused']:.2f}x "
+        f"({report['machine']['cpus']} CPU(s), native kernel: "
+        f"{report['machine']['native_kernel']})"
     )
-    pc = report["autotune"]["plan_cache"]
-    rows.append(
-        f"plan cache: {pc['plans']} plans, {pc['hits']} hits / "
-        f"{pc['misses']} misses, {pc['tunes']} tunes"
-    )
-    rows.append("density sweep (auto vs forced-dense speedup):")
+    rows.append("density sweep (speedup over the same mode at 0% zeros):")
     for mode in MODES:
         cells = report["density_sweep"]["results"][mode]
         line = "  ".join(
-            f"zf={density}: {cell['auto_vs_dense']:5.2f}x"
+            f"zf={density}: {cell['vs_dense_input']:5.2f}x"
             for density, cell in cells.items()
         )
         rows.append(f"  {mode:6s} {line}")
@@ -364,15 +321,10 @@ def test_hot_path(once):
         assert report["speedups"][mode]["fused_vs_seed"] > 3.0
     cache = report["table_cache"]
     assert cache["hits"] > 0  # warmed tables were reused across arms
-    # Plan-cache reuse: every shape tuned exactly once (on the recorded
-    # first forward), every later resolution was a hit.
-    pc = report["autotune"]["plan_cache"]
-    assert pc["tunes"] == pc["misses"]
-    assert pc["hits"] > 0
-    # The sparse path must pull its weight where it engages: at 90%
-    # activation sparsity at least one mode runs >= 1.5x the dense sweep.
+    # The zero skip must pull its weight: at 90% activation sparsity at
+    # least one mode runs >= 1.5x its own dense-input time.
     at_90 = [
-        cells["0.90"]["auto_vs_dense"]
+        cells["0.90"]["vs_dense_input"]
         for cells in report["density_sweep"]["results"].values()
     ]
     assert max(at_90) >= 1.5

@@ -121,7 +121,6 @@ class RowDatapath:
                 wn,
                 self.cfg.accumulation,
                 num_workers=self.cfg.num_workers,
-                autotune=getattr(self.cfg, "autotune", False) or None,
             )  # (N, Cout, Wb)
             out[:, :, lo:hi] = (signed / length).astype(np.float32)
         if np.isnan(out).any():

@@ -417,13 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record telemetry and write PATH.jsonl + PATH.trace.json "
         "(Chrome trace), then print the span/counter summary",
     )
-    parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="resolve fused-kernel execution plans through the per-shape "
-        "autotuner (repro.sc.tuner; plans cached in-process and at "
-        "$REPRO_PLAN_CACHE, default ~/.cache/geo-repro/plans.json)",
-    )
     group = parser.add_argument_group("serve", "options for `geo-repro serve`")
     group.add_argument("--host", default="127.0.0.1")
     group.add_argument(
@@ -589,11 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rewrite the deep baseline from the current findings",
     )
     args = parser.parse_args(argv)
-
-    if args.autotune:
-        from repro.sc.tuner import set_default_autotune
-
-        set_default_autotune(True)
 
     if args.experiment == "serve":
         return _run_serve(args)

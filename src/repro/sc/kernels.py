@@ -1,103 +1,68 @@
-"""Fused word-parallel bit-kernels for the SC convolution hot path.
+"""Fused AND → OR → popcount kernels for the SC convolution hot path.
 
 Every accuracy experiment in the paper funnels through the bit-true SC
-convolution, whose naive form materializes, for *each* output channel, a
-full ``(N, Cin, KH, KW, OH, OW, words)`` product tensor, reduces it, and
-throws it away. This module replaces that loop with fused streaming
-kernels built around two observations:
+convolution. Its naive form materializes, for each output channel, a
+full ``(N, Cin, KH, KW, OH, OW, words)`` product tensor and reduces it.
+:func:`fused_conv_counts` computes the same signed counts without
+materializing the products.
 
-1. Every partial-binary accumulation mode is the same computation with a
-   different *OR-group structure*: partition the ``Cin*KH*KW`` kernel
-   positions into ``G`` groups of ``S`` members, OR the AND-products
-   within each group, popcount the merged words, and add the ``G`` group
-   counts in fixed point (SC: one group of everything; PBW: one group
-   per kernel column; PBHW: one group per ``(kh, kw)`` tap; FXP: every
-   product its own group; APC: pairs). OR is associative and popcount is
-   exact, so any evaluation order is bit-identical to the reference.
+Every partial-binary accumulation mode is the same computation with a
+different *OR-group structure* (:func:`group_structure`): partition the
+``K = Cin*KH*KW`` kernel positions into ``G`` groups of ``S`` members,
+OR the AND-products within each group, popcount the merged words, and
+add the ``G`` group counts in fixed point (SC: one group of everything;
+PBW: one group per kernel column; PBHW: one group per ``(kh, kw)`` tap;
+FXP: every product its own group; APC: pairs, the odd tail padded with
+an all-zero sentinel stream). OR is associative and popcount is exact,
+so any evaluation order is bit-identical to the reference engine.
 
-2. The activation gather does not depend on the output channel, so
-   gathering once per spatial chunk and sweeping all (positive and
-   negative, stacked) weight channels over it — in cache-blocked slabs
-   written into preallocated buffers — removes the per-channel re-read
-   and re-allocation of the activation tensor that dominates the naive
-   loop. The gather lands directly in ``(N, P, G, S, words)`` layout
-   (the OR-group permutation is baked into the gather indices), which
-   makes the kernel-position axis the *contiguous inner axis* of both
-   the AND and the OR-reduction: the AND's vectorized inner loop runs
-   over the whole ``G*S*words`` block and the OR reads sequential
-   memory. Product slabs are sized to stay cache-resident, so the full
-   product tensor never round-trips through DRAM.
+One computation, two implementations:
 
-FXP additionally gets a signed-magnitude fast path: in split-unipolar
-form at most one of the positive/negative weight streams per position is
-non-zero, so one AND pass over the magnitude stream with a ±1 sign fold
-does the work of two stacked passes. Positions where both polarities
-carry bits (arbitrary ``wp``/``wn`` callers) expand into explicit
-``(+1, wp)``/``(-1, wn)`` entries of the same signed pass, so FXP never
-falls back to the stacked ``2*Cout`` sweep.
+* **Native** (default): one C function (``sc_kernel.c``, compiled on
+  first use by :mod:`repro.sc.native`) visits each output position
+  once. It gathers pointers to the activation streams of every group
+  member whose quantized value is non-zero — value 0 is the all-zero
+  stream, so zero activations cost nothing — then, per output channel
+  and word, ORs ``a & wp`` and ``a & wn`` over the group in registers
+  and adds ``popcount(pos) - popcount(neg)``. Values and table rows are
+  bounds-checked in C; a violation raises :class:`IndexError`.
+* **Numpy fallback**, run only when no native library could be built
+  (no ``cc`` on the host): the positive and negative weight channels
+  are stacked, the OR-group permutation is baked into one activation
+  gather per spatial chunk (``(N, P, G, S, words)`` layout), and
+  AND/OR/popcount run over product slabs of at most
+  :data:`DEFAULT_SLAB_BYTES`, so the product tensor stays in cache.
 
-Two dense slab *layouts* cover complementary regimes (DESIGN §3.6):
-
-* ``k_inner`` (default): the group permutation is baked into the gather
-  as above, and AND/OR stream over the contiguous ``G*S*words`` inner
-  block. Wins when OR groups are long (SC, PBW) or carry the APC
-  sentinel padding.
-* ``s_outer`` (PBHW default): operands stay in **natural** member-major
-  ``(S, G)`` order — no permutation copy at all — with the spatial axis
-  innermost. The AND then broadcasts each weight word stride-0 over a
-  long contiguous spatial run, and the OR-reduction runs over the
-  *outermost* member axis in full ``G*Pc*words`` planes; both patterns
-  match the per-channel reference loop's fast inner loops while keeping
-  the fused engine's single activation gather. Only valid when the
-  mode's OR-group permutation is the identity on natural member-major
-  order (SC/PBW/PBHW/FXP yes, APC no — checked, with silent fallback).
-
-Two further levers sit on top of the dense slab sweep:
-
-* **Sparsity** (:func:`_sparse_grouped_counts`): post-ReLU activation
-  streams are mostly all-zero packed words, and an all-zero activation
-  word contributes nothing to AND→OR→popcount. The sparse path builds a
-  per-OR-group zero-word mask over the gathered activation chunk,
-  compacts the non-zero ``(sample, position, group, word, slot)``
-  activation words into a flat list, and runs AND→OR→popcount only on
-  those — bit-identical to the dense sweep because popcounts are exact
-  integers and OR/addition are order-free. Realized sparsity is
-  exported through :mod:`repro.obs` (``sc.kernels.nnz_words`` /
-  ``sc.kernels.skipped_words``).
-* **Per-shape plans** (:class:`ExecPlan`): slab budget, channel-block
-  width, spatial chunk, and the dense/sparse path choice are bundled in
-  a plan. Callers get a shape heuristic by default or measured plans
-  from the autotuner (:mod:`repro.sc.tuner`) via ``autotune=True``.
-
-Sharding (``num_workers``) splits the spatial axis (or the channel axis
-for pointwise/FC shapes) across the shared thread pool of
-:mod:`repro.utils.parallel`; numpy releases the GIL inside the kernels,
-so threads scale without copying the stream tables.
+Which one ran is counted on ``sc.kernels.path.native`` /
+``sc.kernels.path.numpy`` (:mod:`repro.obs`). Sharding (``num_workers``)
+splits the output positions across the shared thread pool of
+:mod:`repro.utils.parallel`; ``ctypes`` and numpy release the GIL inside
+the kernels, so the shards run in parallel on the same stream tables.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.obs import get_registry
+from repro.sc import native
 from repro.sc.accumulate import AccumulationMode
 from repro.utils.bitops import popcount_packed
 from repro.utils.parallel import parallel_map, resolve_workers, shard_slices
 
-#: Peak bytes one product slab may occupy. Deliberately cache-sized:
-#: the slab is written by the AND and immediately consumed by the
-#: OR-reduction and popcount, so keeping it resident in L2/L3 means the
-#: product tensor never round-trips through DRAM — only the (much
-#: smaller) activation gather and merged group words touch memory.
+#: Peak bytes one product slab of the numpy fallback may occupy.
+#: Deliberately cache-sized: the slab is written by the AND and
+#: immediately consumed by the OR-reduction and popcount, so keeping it
+#: resident in L2/L3 means the product tensor never round-trips through
+#: DRAM.
 DEFAULT_SLAB_BYTES = 1 << 19
 
-#: Preferred channel-block width: each channel block re-reads the same
-#: gathered activation chunk, so wider blocks amortize that read; the
-#: spatial chunk shrinks to keep the slab under budget.
-_TARGET_CHANNEL_BLOCK = 16
+#: Preferred channel-block width of the numpy fallback: each channel
+#: block re-reads the same gathered activation chunk, so wider blocks
+#: amortize that read; the spatial chunk shrinks to keep the slab under
+#: budget.
+_CHANNEL_BLOCK = 16
 
 #: Minimum spatial chunk before the channel block starts shrinking:
 #: per-block ufunc dispatch is amortized over ``n * pc`` outer
@@ -109,166 +74,8 @@ _MIN_SPATIAL_CHUNK = 8
 #: dwarf the actual word operations (measured crossover ≈ 8 members).
 _SMALL_GROUP_OR = 8
 
-#: ``path="auto"`` switches to the sparse kernel when at least this
-#: fraction of the OR *group-positions* in the call are dead — every
-#: member's quantized value is zero (zero value → all-zero packed
-#: stream), so the whole group contributes nothing. Group-level (not
-#: value-level) fraction: long-group modes like SC/PBW almost never
-#: have fully dead groups and correctly stay on the dense sweep, whose
-#: perfectly regular inner loops win over compaction overhead.
-SPARSE_AUTO_THRESHOLD = 0.6
-
-#: Slab budget floor for the ``s_outer`` layout: its slab spans the whole
-#: kernel-position extent per spatial column, so the sweet spot (measured
-#: on the CNN-4 PBHW shapes) sits in L3, not L2 — a tighter budget would
-#: shrink the spatial chunk below the long contiguous runs the layout
-#: exists to create.
-_SOUTER_SLAB_BYTES = 1 << 24
-
-_PLAN_PATHS = ("auto", "dense", "sparse")
-
-_PLAN_LAYOUTS = ("auto", "k_inner", "s_outer")
-
-
-@dataclass(frozen=True)
-class ExecPlan:
-    """One execution-geometry choice for :func:`fused_conv_counts`.
-
-    Plans bundle every knob the slab sweep exposes so the autotuner
-    (:mod:`repro.sc.tuner`) can benchmark and cache them per layer
-    shape. The default-constructed plan reproduces the historical
-    fixed geometry.
-
-    Attributes
-    ----------
-    slab_bytes:
-        Product-slab byte budget (cache-residency knob).
-    channel_block:
-        Preferred stacked-channel block width ``Mb``; wider blocks
-        amortize re-reads of the gathered activation chunk.
-    spatial_chunk:
-        Explicit spatial chunk width ``Pc``; ``0`` derives it from the
-        slab budget (the historical behaviour).
-    path:
-        ``"dense"`` forces the slab sweep, ``"sparse"`` the zero-word
-        skipping kernel, ``"auto"`` picks by measured activation-value
-        density (:data:`SPARSE_AUTO_THRESHOLD`).
-    layout:
-        Dense slab layout: ``"k_inner"`` (permuted gather, kernel
-        positions contiguous) or ``"s_outer"`` (natural order, spatial
-        axis innermost, OR over the outer member axis). ``"auto"``
-        picks ``s_outer`` for PBHW and ``k_inner`` otherwise; an
-        explicit ``s_outer`` silently falls back to ``k_inner`` for
-        modes whose group permutation is not natural-order (APC) and
-        on the sparse path.
-    """
-
-    slab_bytes: int = DEFAULT_SLAB_BYTES
-    channel_block: int = _TARGET_CHANNEL_BLOCK
-    spatial_chunk: int = 0
-    path: str = "auto"
-    layout: str = "auto"
-
-    def __post_init__(self):
-        if self.slab_bytes < 1:
-            raise ConfigurationError(
-                f"slab_bytes must be >= 1, got {self.slab_bytes}"
-            )
-        if self.channel_block < 1:
-            raise ConfigurationError(
-                f"channel_block must be >= 1, got {self.channel_block}"
-            )
-        if self.spatial_chunk < 0:
-            raise ConfigurationError(
-                f"spatial_chunk must be >= 0 (0 = derive), got "
-                f"{self.spatial_chunk}"
-            )
-        if self.path not in _PLAN_PATHS:
-            raise ConfigurationError(
-                f"unknown plan path {self.path!r} (expected one of "
-                f"{_PLAN_PATHS})"
-            )
-        if self.layout not in _PLAN_LAYOUTS:
-            raise ConfigurationError(
-                f"unknown plan layout {self.layout!r} (expected one of "
-                f"{_PLAN_LAYOUTS})"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON form (plan-cache persistence)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ExecPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a
-        stale plan cache cannot silently half-apply."""
-        known = {f.name for f in fields(cls)}
-        extra = set(record) - known
-        if extra:
-            raise ConfigurationError(
-                f"unknown ExecPlan fields {sorted(extra)}"
-            )
-        return cls(**record)
-
-
-def heuristic_plan(
-    mode: AccumulationMode | str,
-    n: int,
-    cin: int,
-    kh: int,
-    kw: int,
-    cout: int,
-    p: int,
-    words: int,
-    slab_bytes: int = DEFAULT_SLAB_BYTES,
-) -> ExecPlan:
-    """Shape-based execution plan used when autotuning is off.
-
-    Encodes what the autotuner measures on reference hardware (see
-    DESIGN §3.6): modes whose group structure produces *many short OR
-    groups* (PBHW with few input channels, APC pairs, FXP singletons)
-    are popcount-output-bound — their ``(N, Mb, Pc, G)`` group-count
-    tensor is large relative to the AND volume — and prefer wider
-    channel blocks plus a bigger slab so per-block ufunc dispatch and
-    the ``sum(axis=3)`` epilogue amortize over more work. Long-group
-    modes (SC, PBW) keep the cache-tight historical geometry.
-    """
-    mode = AccumulationMode.parse(mode)
-    k = max(1, cin * kh * kw)
-    if mode is AccumulationMode.SC:
-        groups = 1
-    elif mode is AccumulationMode.PBW:
-        groups = kw
-    elif mode is AccumulationMode.PBHW:
-        groups = kh * kw
-    elif mode is AccumulationMode.APC:
-        groups = (k + 1) // 2
-    else:  # FXP runs the signed-magnitude pass: one group per position
-        groups = k
-    members = max(1, k // max(1, groups))
-    if mode is AccumulationMode.PBHW:
-        # PBHW's many-short-groups structure loses the k_inner layout's
-        # contiguity advantage; the s_outer layout restores the
-        # reference loop's fast AND/OR patterns. Narrow channel blocks
-        # measure fastest: the slab spans the whole kernel extent, so
-        # wide blocks blow the cache (see DESIGN §3.6).
-        if members == 1:
-            block = 2
-        elif p >= 32:
-            block = 4
-        else:
-            block = 1
-        return ExecPlan(
-            slab_bytes=slab_bytes, channel_block=block, layout="s_outer"
-        )
-    if members <= _SMALL_GROUP_OR:
-        # Short-group modes: group-count epilogue dominates; trade
-        # cache tightness for fewer, wider blocks.
-        return ExecPlan(
-            slab_bytes=max(slab_bytes, 4 * DEFAULT_SLAB_BYTES),
-            channel_block=max(_TARGET_CHANNEL_BLOCK, 2 * cout),
-        )
-    return ExecPlan(slab_bytes=slab_bytes)
+_VALUE_RANGE = "activation value out of range [0, {levels})"
+_ROW_RANGE = "activation table row out of range [0, {rows})"
 
 
 def group_structure(
@@ -312,15 +119,7 @@ def group_structure(
 
 
 def _chunk_sizes(
-    n: int,
-    m: int,
-    g: int,
-    s: int,
-    words: int,
-    p: int,
-    slab_bytes: int,
-    channel_block: int = _TARGET_CHANNEL_BLOCK,
-    spatial_chunk: int = 0,
+    n: int, m: int, g: int, s: int, words: int, p: int, slab_bytes: int
 ) -> tuple[int, int]:
     """Spatial / channel-block chunk sizes keeping slabs under budget.
 
@@ -331,18 +130,11 @@ def _chunk_sizes(
 
     Invariants (property-tested): ``1 <= pc <= p``, ``1 <= mb <= m``,
     the slab stays under ``slab_bytes`` unless a single ``(1, 1)`` unit
-    already exceeds it, and in derived mode (``spatial_chunk == 0``)
-    ``pc >= min(p, _MIN_SPATIAL_CHUNK)`` whenever ``mb`` has already
-    been shrunk to 1. An explicit ``spatial_chunk`` is honored exactly
-    (clipped to ``p``) with ``mb`` shrunk to fit the budget.
+    already exceeds it, and ``pc >= min(p, _MIN_SPATIAL_CHUNK)``
+    whenever ``mb`` has already been shrunk to 1 and the budget allows.
     """
     per_unit = max(1, n * g * s * words * 8)  # bytes per (m=1, p=1)
-    mb = min(m, max(1, channel_block))
-    if spatial_chunk > 0:
-        pc = min(p, spatial_chunk)
-        while mb > 1 and per_unit * mb * pc > slab_bytes:
-            mb = max(1, mb // 2)
-        return pc, mb
+    mb = min(m, _CHANNEL_BLOCK)
     pc = slab_bytes // (per_unit * mb)
     while pc < _MIN_SPATIAL_CHUNK and mb > 1:
         # Tiny spatial chunks multiply per-block dispatch overhead;
@@ -355,56 +147,6 @@ def _chunk_sizes(
         pc = p
         mb = min(m, max(1, slab_bytes // (per_unit * pc)))
     return pc, mb
-
-
-def _souter_chunks(
-    n: int, m: int, k: int, words: int, p: int, plan: ExecPlan
-) -> tuple[int, int]:
-    """Spatial / channel-block chunks for the ``s_outer`` layout.
-
-    The slab spans the full kernel-position extent per spatial column
-    (``per_unit = n * k * words * 8`` bytes), so the budget floor is
-    :data:`_SOUTER_SLAB_BYTES`: the layout's whole point is long
-    contiguous spatial runs, and a tight budget would shorten them.
-    The spatial chunk has priority (it sets the AND's stride-0 run
-    length); the channel block shrinks first to fit.
-    """
-    per_unit = max(1, n * k * words * 8)
-    budget = max(plan.slab_bytes, _SOUTER_SLAB_BYTES)
-    mb = min(m, max(1, plan.channel_block))
-    pc = min(p, plan.spatial_chunk) if plan.spatial_chunk > 0 else p
-    while mb > 1 and per_unit * mb * pc > budget:
-        mb //= 2
-    while pc > 1 and per_unit * mb * pc > budget:
-        pc = max(1, pc // 2)
-    return pc, mb
-
-
-def _natural_order(group_k: np.ndarray, k: int) -> bool:
-    """True when the OR-group permutation is the identity on natural
-    member-major order — ``group_k[g, s] == s * G + g`` — so the
-    ``s_outer`` layout can consume the operands with no permutation
-    copy. Holds for SC/PBW/PBHW/FXP; APC's pair groups (and sentinel
-    padding) break it."""
-    g, s = group_k.shape
-    if g * s != k:
-        return False
-    return bool(
-        np.array_equal(group_k, np.arange(k, dtype=np.int64).reshape(s, g).T)
-    )
-
-
-def _natural_group_zero_frac(
-    cols_flat: np.ndarray, s: int, g: int
-) -> float:
-    """Group-level dead fraction computed straight off the natural-order
-    columns ``(N, K, P)`` — the ``s_outer`` counterpart of
-    :func:`_group_zero_frac`, with no permutation copy."""
-    n, k, p = cols_flat.shape
-    if not cols_flat.size:
-        return 0.0
-    live = (cols_flat.reshape(n, s, g, p) != 0).any(axis=1)
-    return float(1.0 - live.mean())
 
 
 def _grouped_gather_indices(
@@ -455,25 +197,19 @@ def _grouped_counts(
     counts: np.ndarray,
     p_span: slice,
     m_span: slice,
-    plan: ExecPlan,
-    group_weights: np.ndarray | None = None,
 ) -> None:
-    """Fill ``counts[:, m_span, p_span]`` for one shard (dense sweep).
+    """Fill ``counts[:, m_span, p_span]`` for one shard (numpy fallback).
 
     The product slab and merged buffers are allocated once per shard and
     reused across every chunk; the slab is cache-sized, so products are
-    written, OR-merged, and popcounted without touching DRAM. When
-    ``group_weights`` is given (signed-magnitude FXP path), group counts
-    are combined as ``sum_g gw[m, g] * count_g`` instead of a plain sum.
+    written, OR-merged, and popcounted without touching DRAM.
     """
     n = cols_g.shape[0]
     words = table.shape[-1]
     g, s = w_g.shape[1:3]
-    m_total = m_span.stop - m_span.start
-    p_total = p_span.stop - p_span.start
     pc, mb = _chunk_sizes(
-        n, m_total, g, s, words, p_total, plan.slab_bytes,
-        channel_block=plan.channel_block, spatial_chunk=plan.spatial_chunk,
+        n, m_span.stop - m_span.start, g, s, words,
+        p_span.stop - p_span.start, DEFAULT_SLAB_BYTES,
     )
     slab = np.empty((n, mb, pc, g, s, words), dtype=np.uint64)
     merged = (
@@ -515,319 +251,15 @@ def _grouped_counts(
                 merged_view = merged[:, :m_width, :width]
                 np.bitwise_or.reduce(slab_view, axis=4, out=merged_view)
             group_counts = popcount_packed(merged_view)  # (N, Mb, Pc, G)
-            if group_weights is None:
-                counts[:, m_lo:m_hi, lo:hi] = group_counts.sum(
-                    axis=3, dtype=np.int64
-                )
-            else:
-                counts[:, m_lo:m_hi, lo:hi] = np.einsum(
-                    "nmpg,mg->nmp",
-                    group_counts,
-                    group_weights[m_lo:m_hi],
-                    dtype=np.int64,
-                )
-
-
-def _souter_grouped_counts(
-    table: np.ndarray,
-    rows_flat: np.ndarray,
-    cols_flat: np.ndarray,
-    w_nat: np.ndarray,
-    counts: np.ndarray,
-    p_span: slice,
-    m_span: slice,
-    plan: ExecPlan,
-) -> None:
-    """Fill ``counts[:, m_span, p_span]`` with the ``s_outer`` layout.
-
-    Operands are in natural member-major order: ``rows_flat``/
-    ``cols_flat`` exactly as passed by the caller (no permutation
-    gather) and weights reshaped to ``(M, S, G, words)``. The product
-    slab is ``(N, Mb, S, G, Pc, words)``: the AND broadcasts each
-    weight word stride-0 over the contiguous ``Pc * words`` spatial
-    run (the reference loop's fast pattern), and the OR-reduction runs
-    over the member axis at position 2, reading and writing full
-    ``G * Pc * words`` contiguous planes. ``S == 1`` skips the merge
-    entirely — the slab view *is* the merged tensor.
-    """
-    n, k, _ = cols_flat.shape
-    words = table.shape[-1]
-    s, g = w_nat.shape[1:3]
-    m_total = m_span.stop - m_span.start
-    p_total = p_span.stop - p_span.start
-    pc, mb = _souter_chunks(n, m_total, k, words, p_total, plan)
-    slab = np.empty((n, mb, s, g, pc, words), dtype=np.uint64)
-    merged = (
-        np.empty((n, mb, g, pc, words), dtype=np.uint64) if s > 1 else None
-    )
-    for lo in range(p_span.start, p_span.stop, pc):
-        hi = min(lo + pc, p_span.stop)
-        width = hi - lo
-        act = table[rows_flat[None, :, None], cols_flat[:, :, lo:hi]]
-        # (N, K, Pc, words) -> broadcastable (N, 1, S, G, Pc, words)
-        act_b = act.reshape(n, 1, s, g, width, words)
-        for m_lo in range(m_span.start, m_span.stop, mb):
-            m_hi = min(m_lo + mb, m_span.stop)
-            m_width = m_hi - m_lo
-            slab_view = slab[:, :m_width, :, :, :width]
-            np.bitwise_and(
-                act_b,
-                w_nat[m_lo:m_hi][None, :, :, :, None],
-                out=slab_view,
-            )
-            if s == 1:
-                merged_view = slab_view[:, :, 0]
-            else:
-                merged_view = merged[:, :m_width, :, :width]
-                np.bitwise_or.reduce(slab_view, axis=2, out=merged_view)
-            group_counts = popcount_packed(merged_view)  # (N, Mb, G, Pc)
             counts[:, m_lo:m_hi, lo:hi] = group_counts.sum(
-                axis=2, dtype=np.int64
+                axis=3, dtype=np.int64
             )
-
-
-def _sparse_grouped_counts(
-    table: np.ndarray,
-    rows_g: np.ndarray,
-    cols_g: np.ndarray,
-    zero_slots: np.ndarray | None,
-    w_g: np.ndarray,
-    counts: np.ndarray,
-    p_span: slice,
-    m_span: slice,
-    plan: ExecPlan,
-    group_weights: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """Fill ``counts[:, m_span, p_span]`` skipping all-zero words.
-
-    Sparse counterpart of :func:`_grouped_counts`, bit-identical by
-    construction: an all-zero activation stream ANDs to zero against
-    any weight word, contributes the OR identity to its group merge,
-    and popcounts to zero — dropping it cannot change any count. The
-    skip granularity is the *group-position*: quantized value ``0``
-    encodes the all-zero stream, so the mask ``(G, N, P)`` of OR-groups
-    whose member values are all zero is known **before** any table
-    gather, and every packed word of a dead group is skipped in bulk.
-
-    Two execution strategies, chosen by group width:
-
-    * **Segment path** (``S <= _SMALL_GROUP_OR`` — FXP singletons, APC
-      pairs, PBHW with few input channels): all surviving
-      ``(sample, position, group)`` segments are compacted position-
-      major in one shot; activations and ``(Mb, S, words)`` weight
-      blocks are fancy-gathered per segment, AND → OR → popcount runs
-      over the whole batch, and per-position sums fall out of one
-      ``add.reduceat`` over the contiguous position runs.
-    * **Group-major loop** (wide groups): for each OR group the
-      surviving positions share one weight block, so the sweep is a
-      regular broadcast with no weight gathers at all. Wide groups are
-      few (``G * S = K``), keeping the Python loop short.
-
-    Work is chunked to ``plan.slab_bytes``. Returns
-    ``(nnz_words, skipped_words)``: packed words processed vs skipped,
-    exported by the caller through :mod:`repro.obs` as realized
-    sparsity.
-    """
-    n = cols_g.shape[0]
-    words = table.shape[-1]
-    g, s = w_g.shape[1:3]
-    p_lo, p_hi = p_span.start, p_span.stop
-    width = p_hi - p_lo
-    m_lo, m_hi = m_span.start, m_span.stop
-    mb = m_hi - m_lo
-    counts[:, m_span, p_span] = 0
-    vals = cols_g[:, p_lo:p_hi].reshape(n, width, g, s)
-    rows_gs = rows_g.reshape(g, s)
-    zs = zero_slots.reshape(g, s) if zero_slots is not None else None
-    live = vals != 0
-    if zs is not None:
-        live &= ~zs[None, None]
-    alive = live.any(axis=3)  # (N, width, G)
-    seen_total = vals.size * words
-    w_blk = w_g[m_lo:m_hi]  # (Mb, G, S, words)
-    gw = group_weights[m_lo:m_hi] if group_weights is not None else None
-    m_idx = np.arange(m_lo, m_hi)[None, :]
-    # Chunking keeps the (Rc, Mb, S, words) product slab under budget.
-    r_chunk = max(1, plan.slab_bytes // max(1, mb * s * words * 8))
-
-    if s <= _SMALL_GROUP_OR:
-        sel = np.flatnonzero(alive)  # position-major (n, width, g)
-        if sel.size == 0:
-            return 0, seen_total
-        g_i = sel % g
-        pos = sel // g
-        n_i = pos // width
-        p_i = pos - n_i * width
-        # (G, Mb, S, words): one fancy index pulls a segment's weights.
-        w_gm = np.ascontiguousarray(w_blk.transpose(1, 0, 2, 3))
-        gw_t = gw.T if gw is not None else None  # (G, Mb)
-        starts = np.flatnonzero(np.diff(pos, prepend=-1))
-        n_u = n_i[starts]
-        p_u = p_i[starts] + p_lo
-        bounds = np.append(starts, sel.size)
-        npos = starts.size
-        pos_chunk = max(
-            1, r_chunk // max(1, -(-sel.size // npos))
-        )  # positions per batch, segments/position rounded up
-        for pa in range(0, npos, pos_chunk):
-            pb = min(pa + pos_chunk, npos)
-            s0, s1 = bounds[pa], bounds[pb]
-            gi_c = g_i[s0:s1]
-            act = table[rows_gs[gi_c], vals[n_i[s0:s1], p_i[s0:s1], gi_c]]
-            if zs is not None:
-                pad = zs[gi_c]
-                if pad.any():
-                    act[pad] = 0
-            prod = act[:, None] & w_gm[gi_c]  # (Rc, Mb, S, words)
-            if s == 1:
-                merged = prod[:, :, 0]
-            else:
-                merged = prod[:, :, 0] | prod[:, :, 1]
-                for i in range(2, s):
-                    merged = merged | prod[:, :, i]
-            cnt = popcount_packed(merged)  # (Rc, Mb)
-            if gw_t is not None:
-                cnt = cnt * gw_t[gi_c]
-            sums = np.add.reduceat(cnt, starts[pa:pb] - s0, axis=0)
-            counts[n_u[pa:pb, None], m_idx, p_u[pa:pb, None]] = sums
-        return sel.size * s * words, seen_total - sel.size * s * words
-
-    nnz_total = 0
-    alive_t = alive.transpose(2, 0, 1)  # (G, N, width)
-    for gi in range(g):
-        sel = np.flatnonzero(alive_t[gi])
-        if sel.size == 0:
-            continue
-        nnz_total += sel.size * s * words
-        w_run = w_blk[None, :, gi]  # (1, Mb, S, words)
-        for r_lo in range(0, sel.size, r_chunk):
-            run = sel[r_lo : r_lo + r_chunk]
-            n_i = run // width
-            p_i = run - n_i * width
-            act = table[rows_gs[gi][None, :], vals[n_i, p_i, gi]]
-            if zs is not None and zs[gi].any():
-                act[:, zs[gi]] = 0
-            prod = act[:, None] & w_run  # (Rc, Mb, S, words)
-            merged = np.bitwise_or.reduce(prod, axis=2)
-            cnt = popcount_packed(merged)  # (Rc, Mb)
-            if gw is not None:
-                cnt = cnt * gw[None, :, gi]
-            counts[n_i[:, None], m_idx, (p_i + p_lo)[:, None]] += cnt
-    return nnz_total, seen_total - nnz_total
-
-
-def _count_kernel_ops(
-    mode: AccumulationMode, n: int, m: int, p: int, g: int, s: int,
-    words: int, fastpath: bool = False, mixed: bool = False,
-) -> None:
-    """Record the op mix of one fused call on the telemetry registry.
-
-    Word totals are computed arithmetically from the shard geometry
-    (``AND`` over every ``(N, M, P, G, S)`` product word, ``S - 1`` ORs
-    per group merge, one popcount word per merged group word), so the
-    accounting adds nothing to the inner loops. ``bit_ops`` is the
-    64-bit-word total scaled to single bit operations. For sparse-path
-    calls these are the *dense-equivalent* totals; the realized volume
-    is the dense total minus ``sc.kernels.skipped_words`` worth of
-    products.
-    """
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    and_words = n * m * p * g * s * words
-    or_words = n * m * p * g * (s - 1) * words
-    popcount_words = n * m * p * g * words
-    reg.counter("sc.kernels.calls").add(1)
-    reg.counter(f"sc.kernels.mode.{mode.value}").add(1)
-    reg.counter("sc.kernels.and_words", unit="words").add(and_words)
-    reg.counter("sc.kernels.or_words", unit="words").add(or_words)
-    reg.counter("sc.kernels.popcount_words", unit="words").add(popcount_words)
-    reg.counter("sc.kernels.bit_ops", unit="bits").add(
-        64 * (and_words + or_words + popcount_words)
-    )
-    if fastpath:
-        reg.counter("sc.kernels.fxp_fastpath").add(1)
-    if mixed:
-        reg.counter("sc.kernels.fxp_mixed").add(1)
-
-
-def _count_sparse_words(shard_stats: list[tuple[int, int] | None]) -> None:
-    """Export realized activation sparsity of one sparse-path call."""
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    nnz = sum(st[0] for st in shard_stats if st is not None)
-    skipped = sum(st[1] for st in shard_stats if st is not None)
-    reg.counter("sc.kernels.sparse_calls").add(1)
-    reg.counter("sc.kernels.nnz_words", unit="words").add(nnz)
-    reg.counter("sc.kernels.skipped_words", unit="words").add(skipped)
-
-
-def _group_zero_frac(
-    cols_g: np.ndarray,
-    zero_slots: np.ndarray | None,
-    n: int,
-    p: int,
-    g: int,
-    s: int,
-) -> float:
-    """Fraction of ``(sample, position, group)`` coordinates whose member
-    values are all zero — computable from the quantized columns alone,
-    before any stream gather (value 0 encodes the all-zero stream)."""
-    vals = cols_g.reshape(n, p, g, s)
-    live = vals != 0
-    if zero_slots is not None:
-        live = live & ~zero_slots.reshape(g, s)[None, None]
-    return float(1.0 - live.any(axis=3).mean()) if vals.size else 0.0
-
-
-def _choose_kernel(plan: ExecPlan, value_zero_frac: float, group_zero_frac):
-    """Dense or sparse shard kernel per the plan's path policy.
-
-    ``group_zero_frac`` is a thunk so the ``"auto"`` density probe is
-    only paid when the plan actually defers the decision — and even
-    then only when it could matter: a group is dead only if *every*
-    member value is zero, so the group-level dead fraction is bounded
-    above by the value-level zero fraction, and a value fraction below
-    the threshold decides "dense" without probing.
-    """
-    if plan.path == "sparse":
-        return _sparse_grouped_counts
-    if plan.path == "dense":
-        return _grouped_counts
-    if value_zero_frac < SPARSE_AUTO_THRESHOLD:
-        return _grouped_counts
-    if group_zero_frac() >= SPARSE_AUTO_THRESHOLD:
-        return _sparse_grouped_counts
-    return _grouped_counts
-
-
-def _resolve_layout(
-    plan: ExecPlan, mode: AccumulationMode, natural: bool
-) -> str:
-    """Concrete dense layout for this call (``auto`` resolution plus the
-    natural-order fallback; the sparse kernel always runs k_inner)."""
-    layout = plan.layout
-    if layout == "auto":
-        layout = (
-            "s_outer" if mode is AccumulationMode.PBHW else "k_inner"
-        )
-    if layout == "s_outer" and not natural:
-        layout = "k_inner"
-    return layout
-
-
-def _count_layout(layout: str) -> None:
-    """Record which dense layout a fused call executed."""
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter(f"sc.kernels.layout.{layout}").add(1)
 
 
 def _shard_spans(
     p: int, m: int, workers: int
 ) -> list[tuple[slice, slice]]:
-    """Shard the (spatial, channel) work grid across workers.
+    """Shard the numpy fallback's (spatial, channel) work grid.
 
     Wide spatial extents shard along P (each worker gathers a disjoint
     activation span — no redundant work); pointwise/FC shapes (tiny P)
@@ -840,6 +272,132 @@ def _shard_spans(
     return [(slice(0, p), ms) for ms in shard_slices(m, workers)]
 
 
+def _numpy_counts(
+    table: np.ndarray,
+    rows_flat: np.ndarray,
+    cols_flat: np.ndarray,
+    wstack: np.ndarray,
+    group_k: np.ndarray,
+    identity: bool,
+    workers: int,
+) -> np.ndarray:
+    """Signed counts by the numpy slab sweep over the stacked
+    ``(2 * Cout, K, words)`` positive and negative weight channels.
+    Indices are checked like the native kernel checks them: numpy would
+    wrap negative ones silently."""
+    n, k, p = cols_flat.shape
+    rows, levels, words = table.shape
+    if rows_flat.size and not 0 <= rows_flat.min() <= rows_flat.max() < rows:
+        raise IndexError(_ROW_RANGE.format(rows=rows))
+    if cols_flat.size and not 0 <= cols_flat.min() <= cols_flat.max() < levels:
+        raise IndexError(_VALUE_RANGE.format(levels=levels))
+    m = wstack.shape[0]
+    cout = m // 2
+    pad = bool((group_k == k).any())
+    w_g = _grouped_weights(wstack, group_k, pad)
+    rows_g, cols_g, zero_slots = _grouped_gather_indices(
+        rows_flat, cols_flat, group_k, identity
+    )
+    counts = np.empty((n, m, p), dtype=np.int64)
+
+    def run(span: tuple[slice, slice]) -> None:
+        p_span, m_span = span
+        _grouped_counts(
+            table, rows_g, cols_g, zero_slots, w_g, counts, p_span, m_span
+        )
+
+    parallel_map(run, _shard_spans(p, m, workers), workers)
+    return counts[:, :cout] - counts[:, cout:]
+
+
+#: Error codes of ``sc_group_counts`` (``sc_kernel.c``).
+_NATIVE_ERRORS = {
+    1: (IndexError, _VALUE_RANGE),
+    2: (IndexError, _ROW_RANGE),
+    3: (MemoryError, "native kernel could not allocate its work buffers"),
+}
+
+
+def _native_counts(
+    kernel,
+    table: np.ndarray,
+    rows_flat: np.ndarray,
+    cols_flat: np.ndarray,
+    wstack: np.ndarray,
+    group_k: np.ndarray,
+    workers: int,
+) -> tuple[np.ndarray, int]:
+    """Signed counts by the native kernel, one ``ctypes`` call per
+    spatial shard. Returns ``(counts, non-zero activation values)``."""
+    n, k, p = cols_flat.shape
+    rows, levels, words = table.shape
+    cout = wstack.shape[0] // 2
+    g, s = group_k.shape
+    # Every buffer is C-contiguous with the dtype the C prototype reads,
+    # and stays referenced here until the last call returns.
+    table = np.ascontiguousarray(table, dtype=np.uint64)
+    weights = np.ascontiguousarray(
+        wstack.transpose(1, 2, 0), dtype=np.uint64
+    )  # (K, words, 2 * Cout)
+    group_k = np.ascontiguousarray(group_k, dtype=np.int64)
+    counts = np.empty((n, cout, p), dtype=np.int64)
+    spans = shard_slices(p, workers)
+    nnz = np.zeros(len(spans), dtype=np.int64)
+
+    def run(i: int) -> int:
+        return kernel(
+            table.ctypes.data, rows, levels, words,
+            rows_flat.ctypes.data, cols_flat.ctypes.data,
+            weights.ctypes.data, group_k.ctypes.data,
+            n, k, p, cout, g, s,
+            spans[i].start, spans[i].stop,
+            counts.ctypes.data, nnz.ctypes.data + i * nnz.itemsize,
+        )
+
+    for code in parallel_map(run, range(len(spans)), workers):
+        if code:
+            exc, message = _NATIVE_ERRORS[code]
+            raise exc(message.format(levels=levels, rows=rows))
+    return counts, int(nnz.sum())
+
+
+def _count_kernel_ops(
+    mode: AccumulationMode, n: int, m: int, p: int, g: int, s: int,
+    words: int, path: str, nnz: int, values: int,
+) -> None:
+    """Record the op mix of one fused call on the telemetry registry.
+
+    Word totals are computed arithmetically from the call geometry
+    (``AND`` over every ``(N, M, P, G, S)`` product word of the ``M``
+    positive and negative channels, ``S - 1`` ORs per group merge, one
+    popcount word per merged group word), so the accounting adds nothing
+    to the inner loops. These are *dense-equivalent* totals; the
+    activation words actually read are ``sc.kernels.nnz_words`` (``nnz``
+    non-zero activation values of ``values``, times ``words``) and the
+    zero-valued rest is ``sc.kernels.skipped_words``. ``bit_ops`` is the
+    64-bit-word total scaled to single bit operations.
+    """
+    reg = get_registry()
+    if not reg.enabled:
+        return
+    and_words = n * m * p * g * s * words
+    or_words = n * m * p * g * (s - 1) * words
+    popcount_words = n * m * p * g * words
+    reg.counter("sc.kernels.calls").add(1)
+    reg.counter(f"sc.kernels.path.{path}").add(1)
+    reg.counter(f"sc.kernels.mode.{mode.value}").add(1)
+    reg.counter("sc.kernels.and_words", unit="words").add(and_words)
+    reg.counter("sc.kernels.or_words", unit="words").add(or_words)
+    reg.counter("sc.kernels.popcount_words", unit="words").add(popcount_words)
+    reg.counter("sc.kernels.bit_ops", unit="bits").add(
+        64 * (and_words + or_words + popcount_words)
+    )
+    reg.counter("sc.kernels.nnz_words", unit="words").add(nnz * words)
+    reg.counter("sc.kernels.skipped_words", unit="words").add(
+        (values - nnz) * words
+    )
+
+
 def fused_conv_counts(
     table: np.ndarray,
     act_rows: np.ndarray,
@@ -848,9 +406,6 @@ def fused_conv_counts(
     wn: np.ndarray,
     mode: AccumulationMode | str,
     num_workers: int | None = 1,
-    slab_bytes: int = DEFAULT_SLAB_BYTES,
-    plan: ExecPlan | None = None,
-    autotune: bool | None = None,
 ) -> np.ndarray:
     """Signed product counts of a packed-stream SC convolution.
 
@@ -870,24 +425,20 @@ def fused_conv_counts(
         Partial-binary accumulation mode.
     num_workers:
         Worker-pool sharding (see :mod:`repro.utils.parallel`).
-    slab_bytes:
-        Product-slab chunking budget. Honored exactly when no explicit
-        ``plan`` is given and the value differs from the default;
-        otherwise the resolved plan's budget wins.
-    plan:
-        Explicit :class:`ExecPlan` overriding plan resolution entirely.
-        Candidate probes from :mod:`repro.sc.tuner` use this.
-    autotune:
-        ``True`` forces a tuner plan lookup (tuning on miss), ``False``
-        forbids it, ``None`` follows the process-wide default set by
-        :func:`repro.sc.tuner.set_default_autotune` / ``REPRO_AUTOTUNE``.
 
     Returns
     -------
     numpy.ndarray
         ``(N, Cout, P)`` int64 counts, positive minus negative channel —
-        bit-identical to the reference per-channel reduction whichever
-        plan or path executes it.
+        bit-identical to the reference per-channel reduction on either
+        path.
+
+    Raises
+    ------
+    IndexError
+        When a value in ``cols`` lies outside ``[0, 2**bits)`` (a NaN
+        activation quantizes to the int64 minimum) or a row in
+        ``act_rows`` outside the table.
     """
     mode = AccumulationMode.parse(mode)
     if cols.ndim != 5:
@@ -897,185 +448,34 @@ def fused_conv_counts(
         raise ShapeError(
             f"act_rows shape {act_rows.shape} != kernel {(cin, kh, kw)}"
         )
-    if wp.shape != wn.shape or wp.shape[1:4] != (cin, kh, kw):
+    words = table.shape[-1]
+    if wp.shape != wn.shape or wp.shape[1:] != (cin, kh, kw, words):
         raise ShapeError(
             f"weight shapes {wp.shape}/{wn.shape} incompatible with "
-            f"kernel {(cin, kh, kw)}"
+            f"kernel {(cin, kh, kw)} of {words}-word streams"
         )
     cout = wp.shape[0]
-    words = table.shape[-1]
     k = cin * kh * kw
     rows_flat = np.ascontiguousarray(act_rows, dtype=np.int64).reshape(k)
-    cols_flat = np.ascontiguousarray(cols).reshape(n, k, p)
+    cols_flat = np.ascontiguousarray(cols, dtype=np.int64).reshape(n, k, p)
     workers = resolve_workers(num_workers)
-    # Fraction of zero-valued quantized activations: value 0 encodes the
-    # all-zero stream, so this is a cheap proxy for word-level sparsity.
-    zero_frac = (
-        1.0 - np.count_nonzero(cols_flat) / cols_flat.size
-        if cols_flat.size
-        else 0.0
-    )
-
-    if plan is None and autotune is not False:
-        from repro.sc import tuner  # local import: tuner drives this module
-
-        if tuner.autotune_enabled(autotune):
-            plan = tuner.plan_for(
-                table, act_rows, cols, wp, wn, mode,
-                workers=workers, zero_frac=zero_frac,
-            )
-    if plan is None:
-        if slab_bytes != DEFAULT_SLAB_BYTES:
-            # Caller pinned a budget explicitly: honor it verbatim.
-            plan = ExecPlan(slab_bytes=slab_bytes)
-        else:
-            plan = heuristic_plan(mode, n, cin, kh, kw, cout, p, words)
-    if mode is AccumulationMode.FXP:
-        # Singleton OR groups: the group-level zero fraction that
-        # decides the sparse path IS the value-level zero fraction.
-        kernel = _choose_kernel(plan, zero_frac, lambda: zero_frac)
-        return _fxp_magnitude_counts(
-            table, rows_flat, cols_flat, wp, wn, workers, plan, kernel
-        )
-
-    group_k, identity = group_structure(mode, cin, kh, kw)
-    g, s = group_k.shape
-    _count_kernel_ops(mode, n, 2 * cout, p, g, s, words)
-    pad = bool(k % 2) if mode is AccumulationMode.APC else False
     wstack = np.concatenate(
-        [wp.reshape(cout, k, words), wn.reshape(cout, k, words)], axis=0
-    )
-    m = 2 * cout
-    counts = np.empty((n, m, p), dtype=np.int64)
-    spans = _shard_spans(p, m, workers)
-
-    natural = _natural_order(group_k, k)
-    layout = _resolve_layout(plan, mode, natural)
-    kernel = None
-    if natural:
-        # Natural-order modes can probe group density straight off the
-        # flat columns, before (and possibly instead of) the permuted
-        # gather-index build the k_inner/sparse paths need.
-        kernel = _choose_kernel(
-            plan,
-            zero_frac,
-            lambda: _natural_group_zero_frac(cols_flat, s, g),
+        [wp.reshape(cout, k, words), wn.reshape(cout, k, words)]
+    )  # (2 * Cout, K, words): positive channels, then negative
+    group_k, identity = group_structure(mode, cin, kh, kw)
+    kernel = native.load()
+    if kernel is not None:
+        counts, nnz = _native_counts(
+            kernel, table, rows_flat, cols_flat, wstack, group_k, workers
         )
-    if layout == "s_outer" and kernel is _grouped_counts:
-        _count_layout("s_outer")
-        w_nat = wstack.reshape(m, s, g, words)
-
-        def run_souter(span: tuple[slice, slice]) -> None:
-            p_span, m_span = span
-            _souter_grouped_counts(
-                table, rows_flat, cols_flat, w_nat,
-                counts, p_span, m_span, plan,
-            )
-
-        parallel_map(run_souter, spans, workers)
-        return counts[:, :cout] - counts[:, cout:]
-
-    w_g = _grouped_weights(wstack, group_k, pad)
-    rows_g, cols_g, zero_slots = _grouped_gather_indices(
-        rows_flat, cols_flat, group_k, identity
-    )
-    if kernel is None:
-        kernel = _choose_kernel(
-            plan,
-            zero_frac,
-            lambda: _group_zero_frac(cols_g, zero_slots, n, p, g, s),
-        )
-    _count_layout("k_inner")
-
-    def run(span: tuple[slice, slice]) -> tuple[int, int] | None:
-        p_span, m_span = span
-        return kernel(
-            table, rows_g, cols_g, zero_slots, w_g,
-            counts, p_span, m_span, plan,
-        )
-
-    stats = parallel_map(run, spans, workers)
-    if kernel is _sparse_grouped_counts:
-        _count_sparse_words(stats)
-    return counts[:, :cout] - counts[:, cout:]
-
-
-def _fxp_magnitude_counts(
-    table: np.ndarray,
-    rows_flat: np.ndarray,
-    cols_flat: np.ndarray,
-    wp: np.ndarray,
-    wn: np.ndarray,
-    workers: int,
-    plan: ExecPlan,
-    kernel,
-) -> np.ndarray:
-    """Signed-magnitude FXP path (single pass, no stacked 2x channels).
-
-    In split-unipolar form a weight position usually drives exactly one
-    of the positive/negative streams (the other is all-zero), so
-    ``pos_counts - neg_counts`` equals one pass over the magnitude
-    stream ``wp | wn`` with a per-position sign fold. Positions where
-    some output channel drives *both* streams no longer force a
-    fallback: each such position expands into an explicit ``(+1, wp)``
-    entry in the first ``K`` slots plus an appended ``(-1, wn)`` entry,
-    so the single magnitude pass still computes ``pos - neg`` exactly
-    with ``G = K + |overlap| <= 2K`` singleton groups — never the
-    stacked ``2 * Cout`` channel sweep.
-    """
-    n, k, p = cols_flat.shape
-    cout = wp.shape[0]
-    words = table.shape[-1]
-    wp_flat = wp.reshape(cout, k, words)
-    wn_flat = wn.reshape(cout, k, words)
-    pos_nz = wp_flat.any(axis=-1)
-    neg_nz = wn_flat.any(axis=-1)
-    overlap = np.flatnonzero((pos_nz & neg_nz).any(axis=0))
-    cols_t = cols_flat.transpose(0, 2, 1)  # (N, P, K) view
-    if overlap.size == 0:
-        # Disjoint everywhere: wp | wn is exactly the non-zero channel.
-        w_g = (wp_flat | wn_flat).reshape(cout, k, 1, words)
-        sgn = pos_nz.astype(np.int64) - neg_nz.astype(np.int64)
-        rows_g, cols_g = rows_flat, cols_t
     else:
-        dis = np.ones(k, dtype=bool)
-        dis[overlap] = False
-        # First K entries: magnitude stream at disjoint positions, the
-        # positive stream at overlap positions (sign +1 — channels whose
-        # wp is zero there contribute nothing). Appended entries carry
-        # the negative stream of each overlap position with sign -1.
-        w_first = np.where(dis[None, :, None], wp_flat | wn_flat, wp_flat)
-        sgn_first = np.where(
-            dis[None, :],
-            pos_nz.astype(np.int64) - neg_nz.astype(np.int64),
-            1,
+        counts = _numpy_counts(
+            table, rows_flat, cols_flat, wstack, group_k, identity, workers
         )
-        w_g = np.concatenate(
-            [w_first, wn_flat[:, overlap]], axis=1
-        ).reshape(cout, k + overlap.size, 1, words)
-        sgn = np.concatenate(
-            [sgn_first, np.full((cout, overlap.size), -1, dtype=np.int64)],
-            axis=1,
-        )
-        rows_g = np.concatenate([rows_flat, rows_flat[overlap]])
-        cols_g = np.ascontiguousarray(
-            np.concatenate([cols_t, cols_t[:, :, overlap]], axis=2)
-        )
+        nnz = int(np.count_nonzero(cols_flat))
+    g, s = group_k.shape
     _count_kernel_ops(
-        AccumulationMode.FXP, n, cout, p, k + overlap.size, 1, words,
-        fastpath=overlap.size == 0, mixed=overlap.size > 0,
+        mode, n, 2 * cout, p, g, s, words,
+        "native" if kernel is not None else "numpy", nnz, cols_flat.size,
     )
-    counts = np.empty((n, cout, p), dtype=np.int64)
-    spans = _shard_spans(p, cout, workers)
-
-    def run(span: tuple[slice, slice]) -> tuple[int, int] | None:
-        p_span, m_span = span
-        return kernel(
-            table, rows_g, cols_g, None, w_g,
-            counts, p_span, m_span, plan, group_weights=sgn,
-        )
-
-    stats = parallel_map(run, spans, workers)
-    if kernel is _sparse_grouped_counts:
-        _count_sparse_words(stats)
     return counts

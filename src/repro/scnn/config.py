@@ -16,6 +16,12 @@ from repro.sc.accumulate import AccumulationMode
 from repro.sc.formats import stream_bits
 from repro.sc.sharing import SharingLevel
 
+#: Fields that :class:`SCConfig` no longer has. ``from_dict`` drops
+#: their keys so model files and checkpoints saved with them still load
+#: (``autotune`` selected per-shape slab plans for a numpy kernel that
+#: the native kernel replaced).
+REMOVED_FIELDS = frozenset({"autotune"})
+
 
 @dataclass(frozen=True)
 class SCConfig:
@@ -61,13 +67,6 @@ class SCConfig:
         Worker threads the fused engine shards across: ``1`` serial,
         ``n > 1`` that many workers, ``0`` one per available CPU. The
         reference engine ignores this knob.
-    autotune:
-        When true, the fused engine resolves its slab/chunk geometry and
-        dense-vs-sparse path per layer shape through
-        :mod:`repro.sc.tuner` (benchmarked once per shape, cached
-        in-process and optionally on disk). When false, a shape
-        heuristic picks the plan. The reference engine ignores this
-        knob; results are bit-identical either way.
     """
 
     stream_length: int = 128
@@ -82,7 +81,6 @@ class SCConfig:
     trng_eval_freeze: bool = False
     engine: str = "fused"
     num_workers: int = 1
-    autotune: bool = False
 
     def __post_init__(self):
         for name in ("stream_length", "stream_length_pooling", "output_stream_length"):
@@ -142,7 +140,14 @@ class SCConfig:
     @classmethod
     def from_dict(cls, record: dict) -> "SCConfig":
         """Rebuild a config from :meth:`to_dict` output; unknown keys are
-        rejected so stale checkpoints fail loudly."""
+        rejected so stale checkpoints fail loudly. Keys of removed
+        fields (:data:`REMOVED_FIELDS`) are dropped, so records saved
+        before the removal still load."""
+        record = {
+            key: value
+            for key, value in record.items()
+            if key not in REMOVED_FIELDS
+        }
         known = {f.name for f in fields(cls)}
         extra = set(record) - known
         if extra:

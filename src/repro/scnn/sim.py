@@ -202,9 +202,7 @@ def _reduce_products(
 
 #: Execution-only knobs that can change without invalidating a
 #: simulator's seed plan or stream tables.
-_EXECUTION_KNOBS = frozenset(
-    {"engine", "num_workers", "batch_chunk", "autotune"}
-)
+_EXECUTION_KNOBS = frozenset({"engine", "num_workers", "batch_chunk"})
 
 #: Stream-length knobs reconfigurable in place. Changing one swaps the
 #: simulator onto a different (cached) seed plan and a different LRU
@@ -510,7 +508,6 @@ class SCConvSimulator:
                             wn,
                             mode,
                             num_workers=cfg.num_workers,
-                            autotune=cfg.autotune or None,
                         )  # (nc, Cout, OH*OW)
                     out[start : start + chunk] = (
                         (signed / length)
@@ -560,8 +557,9 @@ class SCConvSimulator:
                     "wall_s": sp.wall_s,
                     "cpu_s": sp.cpu_s,
                     "workers": cfg.num_workers,
-                    # Realized sparse-path sparsity for this forward (zero
-                    # when the dense path ran: it keeps no word counters).
+                    # Activation words the fused kernels read and skipped
+                    # as zero in this forward (zero on the reference
+                    # engine: it keeps no word counters).
                     "nnz_words": int(nnz_words),
                     "skipped_words": int(skipped_words),
                     "word_sparsity": (

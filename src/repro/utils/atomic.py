@@ -1,10 +1,11 @@
 """Atomic file persistence: tmp file + fsync + ``os.replace``.
 
 Every persistent state file in the repo (training checkpoints, the
-tuner's plan cache, sweep journals, resume markers) goes through these
-helpers so a crash — including a SIGKILL landing mid-write — can never
-leave a torn file behind: readers see either the previous complete
-version or the new complete version, nothing in between.
+native kernel's build cache, sweep journals, resume markers) goes
+through these helpers so a crash — including a SIGKILL landing
+mid-write — can never leave a torn file behind: readers see either the
+previous complete version or the new complete version, nothing in
+between.
 
 The recipe, in order:
 

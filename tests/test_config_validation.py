@@ -60,6 +60,49 @@ class TestSCConfig:
             assert cfg.output_stream_length == 128
 
 
+#: ``SCConfig.to_dict()`` as written into model files and checkpoints
+#: before the ``autotune`` field was removed.
+LEGACY_RECORD = {
+    "stream_length": 32, "stream_length_pooling": 32,
+    "output_stream_length": 128, "rng_kind": "lfsr", "sharing": "moderate",
+    "accumulation": "pbw", "progressive": False, "root_seed": 0,
+    "batch_chunk": 16, "trng_eval_freeze": False, "engine": "fused",
+    "num_workers": 1, "autotune": True,
+}
+
+
+class TestSCConfigRecords:
+    def test_round_trip(self):
+        cfg = SCConfig(stream_length=64, accumulation="apc", num_workers=2)
+        assert SCConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_legacy_autotune_key_dropped(self):
+        cfg = SCConfig.from_dict(LEGACY_RECORD)
+        assert cfg == SCConfig(stream_length=32, stream_length_pooling=32)
+        assert "autotune" not in cfg.to_dict()
+
+    @pytest.mark.parametrize("extra", ({"nope": 1}, {"plan": "x"}))
+    def test_unknown_keys_still_rejected(self, extra):
+        with pytest.raises(ConfigurationError, match="unknown SCConfig"):
+            SCConfig.from_dict({**LEGACY_RECORD, **extra})
+
+    def test_legacy_model_spec_builds(self):
+        from repro.nn.serialize import build_from_spec
+
+        spec = {
+            "builder": "cnn4_sc",
+            "kwargs": {"in_channels": 1, "input_size": 16, "width_mult": 0.25},
+            "sc_config": dict(LEGACY_RECORD),
+        }
+        model = build_from_spec(spec)
+        configs = {
+            m.cfg for m in model.modules() if isinstance(
+                getattr(m, "cfg", None), SCConfig
+            )
+        }
+        assert configs == {SCConfig.from_dict(LEGACY_RECORD)}
+
+
 class TestGeoArchConfig:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
